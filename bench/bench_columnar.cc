@@ -1,14 +1,13 @@
-// Columnar storage ablation (docs/architecture.md §9): the same plans
-// over the same base tables stored as vector<Row> (kernel row lanes)
-// vs typed columns (vectorized lanes reading contiguous endpoint
-// arrays and packed keys).  Four workloads cover the hot loops the
-// refactor targets: hash aggregation over a scan, the partition-then-
-// sweep interval join, native coalescing, and the fused split-
-// aggregate sweep.  Outputs are checked row-identical before timing.
-// Record medians into BENCH_columnar.json per docs/benchmarks.md.
+// Columnar storage ablation (docs/architecture.md §9): the overlap join
+// of two scans over the same base tables stored as vector<Row> (the
+// join's row lane) vs typed columns (the vectorized lane reading
+// contiguous endpoint arrays and packed keys).  The overlap join is the
+// one operator kernel with a columnar lane: it is the only operator
+// whose inputs are base-table scans in the paper's workloads.  Outputs
+// are checked row-identical before timing.  Record medians into
+// BENCH_columnar.json per docs/benchmarks.md.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -40,11 +39,6 @@ Relation MakeTable(Rng* rng, int rows, int keys, int vals) {
   return rel;
 }
 
-struct Workload {
-  std::string name;
-  PlanPtr plan;
-};
-
 }  // namespace
 }  // namespace periodk
 
@@ -54,7 +48,7 @@ int main() {
   int repeats = bench::EnvInt("PERIODK_BENCH_REPEATS", 3);
 
   bench::PrintBanner(
-      "columnar storage vs row storage on the interval-kernel hot paths",
+      "columnar storage vs row storage on the overlap join of two scans",
       "Scale via PERIODK_BENCH_COL_ROWS (rows per table, default 500000).");
 
   Rng rng(20260807);
@@ -69,58 +63,36 @@ int main() {
     col_cat.Put(name, std::move(rel));
   }
 
-  PlanPtr scan = MakeScan("t", EncodedSchema());
-  std::vector<Workload> workloads;
-  workloads.push_back(
-      {"hash-agg",
-       MakeAggregate(scan, {Col(0, "k"), Col(1, "v")},
-                     {Column("k"), Column("v")},
-                     {AggExpr{AggFunc::kCountStar, nullptr, "cnt"},
-                      AggExpr{AggFunc::kSum, Col(2), "s"}})});
-  workloads.push_back(
-      {"interval-join",
-       MakeJoin(scan, MakeScan("u", EncodedSchema()),
-                AndAll({Eq(Col(0), Col(4)), Lt(Col(2), Col(7)),
-                        Lt(Col(6), Col(3))}))});
-  workloads.push_back({"coalesce", MakeCoalesce(scan)});
-  workloads.push_back(
-      {"split-agg",
-       MakeSplitAggregate(scan, {0},
-                          {AggExpr{AggFunc::kCountStar, nullptr, "cnt"},
-                           AggExpr{AggFunc::kSum, Col(1), "s"}},
-                          /*gap_rows=*/false, TimeDomain{0, kDomainEnd})});
+  PlanPtr join = MakeJoin(
+      MakeScan("t", EncodedSchema()), MakeScan("u", EncodedSchema()),
+      AndAll({Eq(Col(0), Col(4)), Lt(Col(2), Col(7)), Lt(Col(6), Col(3))}));
 
   bench::TablePrinter table(
       {"Workload", "Rows", "Out rows", "RowStore", "Columnar", "Speedup"},
       {15, 10, 12, 12, 12, 10});
   table.PrintHeader();
-  for (const Workload& w : workloads) {
-    Relation by_rows = Execute(w.plan, row_cat);
-    Relation by_cols = Execute(w.plan, col_cat);
-    // Row-identical, not just bag-equal: the vectorized lanes promise
-    // the exact sequential row-path output.
-    if (by_rows.size() != by_cols.size() || !by_rows.BagEquals(by_cols)) {
-      std::fprintf(stderr, "FATAL: columnar path diverges on %s\n",
-                   w.name.c_str());
+  Relation by_rows = Execute(join, row_cat);
+  Relation by_cols = Execute(join, col_cat);
+  // Row-identical, not just bag-equal: the vectorized lane promises the
+  // exact sequential row-lane output.
+  if (by_rows.size() != by_cols.size() || !by_rows.BagEquals(by_cols)) {
+    std::fprintf(stderr, "FATAL: columnar path diverges on interval-join\n");
+    return 1;
+  }
+  for (size_t i = 0; i < by_rows.size(); ++i) {
+    if (CompareRows(by_rows.rows()[i], by_cols.rows()[i]) != 0) {
+      std::fprintf(stderr,
+                   "FATAL: row order diverges on interval-join at %zu\n", i);
       return 1;
     }
-    for (size_t i = 0; i < by_rows.size(); ++i) {
-      if (CompareRows(by_rows.rows()[i], by_cols.rows()[i]) != 0) {
-        std::fprintf(stderr, "FATAL: row order diverges on %s at %zu\n",
-                     w.name.c_str(), i);
-        return 1;
-      }
-    }
-    double row_s =
-        bench::TimeMedian([&] { Execute(w.plan, row_cat); }, repeats);
-    double col_s =
-        bench::TimeMedian([&] { Execute(w.plan, col_cat); }, repeats);
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.1fx", row_s / col_s);
-    table.PrintRow({w.name, std::to_string(rows),
-                    std::to_string(by_rows.size()),
-                    bench::TablePrinter::Seconds(row_s),
-                    bench::TablePrinter::Seconds(col_s), speedup});
   }
+  double row_s = bench::TimeMedian([&] { Execute(join, row_cat); }, repeats);
+  double col_s = bench::TimeMedian([&] { Execute(join, col_cat); }, repeats);
+  char speedup[32];
+  std::snprintf(speedup, sizeof(speedup), "%.1fx", row_s / col_s);
+  table.PrintRow({"interval-join", std::to_string(rows),
+                  std::to_string(by_rows.size()),
+                  bench::TablePrinter::Seconds(row_s),
+                  bench::TablePrinter::Seconds(col_s), speedup});
   return 0;
 }

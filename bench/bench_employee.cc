@@ -26,30 +26,31 @@ namespace {
 
 constexpr int64_t kSplitBudget = 30'000'000;
 
-
 /// Runs the query; returns median seconds, or -1 on budget timeout.
 double TimeQuery(const TemporalDB& db, const std::string& sql,
                  const RewriteOptions& options, bool final_coalesce,
                  size_t* rows_out, int repeats) {
-  try {
-    double t = bench::TimeMedian(
-        [&] {
-          SplitBudgetScope budget(kSplitBudget);
-          auto result = db.Query(sql, options);
-          if (!result.ok()) {
-            std::fprintf(stderr, "query failed: %s\n",
-                         result.status().ToString().c_str());
-            std::exit(1);
+  bool timed_out = false;
+  double t = bench::TimeMedian(
+      [&] {
+        if (timed_out) return;  // later repeats would trip the budget too
+        SplitBudgetScope budget(kSplitBudget);
+        auto result = db.Query(sql, options);
+        if (!result.ok()) {
+          if (result.status().code() == StatusCode::kResourceExhausted) {
+            timed_out = true;
+            return;
           }
-          Relation relation = std::move(result.value());
-          if (final_coalesce) relation = CoalesceNative(relation);
-          *rows_out = relation.size();
-        },
-        repeats);
-    return t;
-  } catch (const SplitBudgetExceeded&) {
-    return -1.0;
-  }
+          std::fprintf(stderr, "query failed: %s\n",
+                       result.status().ToString().c_str());
+          std::exit(1);
+        }
+        Relation relation = std::move(result.value());
+        if (final_coalesce) relation = CoalesceNative(relation);
+        *rows_out = relation.size();
+      },
+      repeats);
+  return timed_out ? -1.0 : t;
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Partition-parallel execution: the hot operators (interval-overlap
-// join, hash aggregation, fused split+aggregate, native coalescing)
+// join, fused split+aggregate, native coalescing)
 // fan their partitions out to the work-stealing pool
 // (src/common/thread_pool.h).  This benchmark records the scaling
 // curve over thread counts for each workload; thread count 1 is the
@@ -79,8 +79,8 @@ int main() {
         {"interval-join", rewriter.Rewrite(MakeProjectColumns(q, {0, 1, 3}))});
   }
   {
-    // Grouped snapshot aggregation: hash aggregation plus the fused
-    // split+aggregate per-group sweeps.
+    // Grouped snapshot aggregation: the rewriter turns it into the
+    // fused split+aggregate, whose per-group sweeps fan out.
     PlanPtr q = MakeAggregate(
         MakeScan("r", snap_schema), {Col(0, "k")}, {Column("k")},
         {AggExpr{AggFunc::kCountStar, nullptr, "cnt"},

@@ -18,6 +18,8 @@ const char* StatusCodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kUnsupported:
       return "Unsupported";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -23,6 +23,7 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kUnsupported,
+  kResourceExhausted,
   kInternal,
 };
 
@@ -58,6 +59,11 @@ class [[nodiscard]] Status {
   }
   [[nodiscard]] static Status Unsupported(std::string msg) {
     return Status(StatusCode::kUnsupported, std::move(msg));
+  }
+  /// A per-query resource budget ran out (e.g. a SplitBudgetScope
+  /// fragment budget); the benches report it as the paper's timeout.
+  [[nodiscard]] static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   [[nodiscard]] static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -40,37 +40,6 @@ void AggState::Accumulate(const Value& v, int64_t mult) {
   any = true;
 }
 
-void AggState::AccumulateInt(int64_t v, int64_t mult) {
-  count += mult;
-  isum += static_cast<__int128>(v) * mult;
-  dsum += static_cast<double>(v) * static_cast<double>(mult);
-  Value value = Value::Int(v);
-  if (!any || value.Compare(min_v) < 0) min_v = value;
-  if (!any || value.Compare(max_v) > 0) max_v = value;
-  any = true;
-}
-
-void AggState::AccumulateColumn(const ColumnData& col, size_t row,
-                                int64_t mult) {
-  if (col.tag() == ColumnTag::kInt && !col.IsNull(row)) {
-    AccumulateInt(col.ints()[row], mult);
-    return;
-  }
-  Accumulate(col.Get(row), mult);
-}
-
-void AggState::Merge(const AggState& other) {
-  count += other.count;
-  isum += other.isum;
-  dsum += other.dsum;
-  all_int = all_int && other.all_int;
-  if (other.any) {
-    if (!any || other.min_v.Compare(min_v) < 0) min_v = other.min_v;
-    if (!any || other.max_v.Compare(max_v) > 0) max_v = other.max_v;
-  }
-  any = any || other.any;
-}
-
 Value AggState::Finalize(AggFunc f, int64_t star_count) const {
   switch (f) {
     case AggFunc::kCountStar:

@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "common/value.h"
-#include "engine/column.h"
 
 namespace periodk {
 
@@ -26,10 +25,9 @@ const char* AggFuncName(AggFunc f);
 /// INT64_MAX puts such values in plain columns — is never UB, and so
 /// that accumulation order cannot matter: a sum whose intermediate
 /// prefix overflows int64 but whose total fits still finalizes as that
-/// exact integer, identically for sequential accumulation and the
-/// parallel chunk-and-Merge path.  Only a *total* outside int64 widens
-/// to the double sum.  (128 bits cannot realistically overflow: it
-/// would take 2^63 rows of INT64_MAX.)
+/// exact integer.  Only a *total* outside int64 widens to the double
+/// sum.  (128 bits cannot realistically overflow: it would take 2^63
+/// rows of INT64_MAX.)
 struct AggState {
   int64_t count = 0;
   bool any = false;
@@ -40,21 +38,6 @@ struct AggState {
   Value max_v;
 
   void Accumulate(const Value& v, int64_t mult = 1);
-
-  /// Accumulates a non-null int64 without the Value round-trip; exactly
-  /// equivalent to Accumulate(Value::Int(v), mult).
-  void AccumulateInt(int64_t v, int64_t mult = 1);
-
-  /// Accumulates cell `row` of a typed column.  Equivalent to
-  /// Accumulate(col.Get(row), mult), but the hot non-null int case --
-  /// the inner loop of the columnar split-aggregate and hash
-  /// aggregation paths -- reads the raw array directly.
-  void AccumulateColumn(const ColumnData& col, size_t row, int64_t mult = 1);
-
-  /// Merges partially aggregated state (used by pre-aggregation: the
-  /// fused split operator merges per-interval partials into per-fragment
-  /// results).  Min/max merge unconditionally; count/sum add up.
-  void Merge(const AggState& other);
 
   Value Finalize(AggFunc f, int64_t star_count) const;
 };

@@ -147,14 +147,6 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
   return out;
 }
 
-ColumnData ColumnData::FromInts(std::vector<int64_t> values) {
-  ColumnData out;
-  out.tag_ = ColumnTag::kInt;
-  out.size_ = values.size();
-  out.ints_ = std::move(values);
-  return out;
-}
-
 ColumnData ColumnData::Gather(const ColumnData& src,
                               const std::vector<uint32_t>& indices) {
   ColumnData out;

@@ -6,9 +6,10 @@
 // a per-column *sorted* dictionary (rdf3x-style: code order == string
 // order), and columns whose non-null values mix types fall back to a
 // vector<Value> ("mixed") representation so the dynamically typed
-// engine loses nothing.  The interval kernels (interval join,
-// coalescing, split-aggregate, timeline-index build) read the raw
-// arrays directly instead of dispatching through std::variant per cell.
+// engine loses nothing.  The kernels that see columnar inputs (the
+// overlap join over two scans, timeline-index build and lookup, table
+// statistics) read the raw arrays directly instead of dispatching
+// through std::variant per cell.
 #ifndef PERIODK_ENGINE_COLUMN_H_
 #define PERIODK_ENGINE_COLUMN_H_
 
@@ -44,7 +45,7 @@ class StringDict {
 };
 
 /// One column of a columnar relation.  Immutable after construction;
-/// new columns are built by Encode / FromInts / Gather.
+/// new columns are built by Encode / Gather.
 class ColumnData {
  public:
   /// Encodes column `col` of `rows`.  Picks the narrowest tag that
@@ -52,11 +53,9 @@ class ColumnData {
   /// column encodes as kInt with an all-invalid bitmap).
   static ColumnData Encode(const std::vector<Row>& rows, size_t col);
 
-  /// A column of raw int64s with no NULLs (kernel interval outputs).
-  static ColumnData FromInts(std::vector<int64_t> values);
-
   /// out[k] = src[indices[k]] -- gather emission for the vectorized
-  /// join/coalesce paths.  Dictionary columns share src's dictionary.
+  /// join and timeline-index paths.  Dictionary columns share src's
+  /// dictionary.
   static ColumnData Gather(const ColumnData& src,
                            const std::vector<uint32_t>& indices);
 

@@ -223,194 +223,43 @@ struct GroupState {
   std::vector<AggState> states;
 };
 
-/// Hash-aggregation groups in *first-appearance order*: keys[g] and
-/// groups[g] describe the g-th distinct key encountered.  Both the row
-/// path and the columnar packed-key path fill this structure, so their
-/// outputs are row-for-row identical regardless of which lane ran.
-struct GroupTable {
+/// Sequential hash aggregation.  Groups are emitted in first-appearance
+/// order of their key: keys[g] and groups[g] describe the g-th distinct
+/// key encountered.
+Relation ExecAggregate(const Plan& plan, const Relation& input) {
+  const size_t num_aggs = plan.aggs.size();
   std::vector<Row> keys;
   std::vector<GroupState> groups;
-};
-
-/// Accumulates rows [begin, end) of the input into `table`.
-void AccumulateGroups(const Plan& plan, const Relation& input, int64_t begin,
-                      int64_t end, GroupTable& table) {
-  const size_t num_aggs = plan.aggs.size();
-  // Columnar inputs whose group keys and aggregate arguments are all
-  // plain column references skip the row view entirely; when every key
-  // column is additionally fast-keyable, grouping runs on packed uint64
-  // key words (dictionary codes for strings) instead of hashing Values.
-  // periodk-lint: columnar-lane-begin(group-accumulate)
-  if (input.is_columnar()) {
-    std::vector<int> key_cols;
-    std::vector<int> agg_cols;
-    key_cols.reserve(plan.exprs.size());
-    agg_cols.reserve(num_aggs);
-    bool fast = true;
-    for (const ExprPtr& e : plan.exprs) {
-      if (e->kind != ExprKind::kColumn) {
-        fast = false;
-        break;
-      }
-      key_cols.push_back(e->column);
-    }
-    for (size_t a = 0; fast && a < num_aggs; ++a) {
-      if (plan.aggs[a].func == AggFunc::kCountStar) {
-        agg_cols.push_back(-1);
-        continue;
-      }
-      const ExprPtr& arg = plan.aggs[a].arg;
-      if (arg == nullptr || arg->kind != ExprKind::kColumn) {
-        fast = false;
-        break;
-      }
-      agg_cols.push_back(arg->column);
-    }
-    if (fast) {
-      const std::vector<ColumnData>& cols = input.columns();
-      auto accumulate = [&](GroupState& g, size_t r) {
-        g.star_count += 1;
-        for (size_t a = 0; a < num_aggs; ++a) {
-          if (agg_cols[a] < 0) continue;
-          g.states[a].AccumulateColumn(cols[static_cast<size_t>(agg_cols[a])],
-                                       r);
-        }
-      };
-      std::vector<uint64_t> packed;
-      if (BuildPackedKeys(cols, key_cols, input.size(), &packed)) {
-        const size_t width = key_cols.size() + 1;
-        PackedKeyMap map(width, static_cast<size_t>(end - begin));
-        std::vector<uint32_t> rep;  // first input row of each group
-        for (int64_t i = begin; i < end; ++i) {
-          size_t r = static_cast<size_t>(i);
-          uint32_t gid = map.FindOrInsert(&packed[r * width]);
-          if (gid == table.groups.size()) {
-            rep.push_back(static_cast<uint32_t>(r));
-            table.groups.emplace_back();
-            table.groups.back().states.resize(num_aggs);
-          }
-          accumulate(table.groups[gid], r);
-        }
-        table.keys.reserve(rep.size());
-        for (uint32_t r : rep) {
-          Row key;
-          key.reserve(key_cols.size());
-          for (int c : key_cols) {
-            key.push_back(cols[static_cast<size_t>(c)].Get(r));
-          }
-          table.keys.push_back(std::move(key));
-        }
-        return;
-      }
-      // Mixed/NaN key columns: Value keys, still straight off the
-      // columns and still in first-appearance order.
-      std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-      for (int64_t i = begin; i < end; ++i) {
-        size_t r = static_cast<size_t>(i);
-        Row key;
-        key.reserve(key_cols.size());
-        for (int c : key_cols) {
-          key.push_back(cols[static_cast<size_t>(c)].Get(r));
-        }
-        auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                                 table.groups.size());
-        if (inserted) {
-          table.keys.push_back(it->first);
-          table.groups.emplace_back();
-          table.groups.back().states.resize(num_aggs);
-        }
-        accumulate(table.groups[it->second], r);
-      }
-      return;
-    }
-  }
-  // periodk-lint: columnar-lane-end(group-accumulate)
   std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-  const std::vector<Row>& rows = input.rows();
-  for (int64_t i = begin; i < end; ++i) {
-    const Row& row = rows[static_cast<size_t>(i)];
+  for (const Row& row : input.rows()) {
     Row key;
     key.reserve(plan.exprs.size());
     for (const ExprPtr& e : plan.exprs) key.push_back(e->Eval(row));
-    auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                             table.groups.size());
+    auto [it, inserted] = gid_of.try_emplace(std::move(key), groups.size());
     if (inserted) {
-      table.keys.push_back(it->first);
-      table.groups.emplace_back();
-      table.groups.back().states.resize(num_aggs);
+      keys.push_back(it->first);
+      groups.emplace_back();
+      groups.back().states.resize(num_aggs);
     }
-    GroupState& g = table.groups[it->second];
+    GroupState& g = groups[it->second];
     g.star_count += 1;
-    for (size_t i2 = 0; i2 < num_aggs; ++i2) {
-      if (plan.aggs[i2].func == AggFunc::kCountStar) continue;
-      g.states[i2].Accumulate(plan.aggs[i2].arg->Eval(row));
+    for (size_t i = 0; i < num_aggs; ++i) {
+      if (plan.aggs[i].func == AggFunc::kCountStar) continue;
+      g.states[i].Accumulate(plan.aggs[i].arg->Eval(row));
     }
   }
-}
-
-Relation ExecAggregate(const Plan& plan, const Relation& input,
-                       const OpContext& ctx) {
-  // Partition-parallel hash aggregation: each chunk of the input builds
-  // a private group table, merged in chunk order at the join point
-  // (AggState partials merge exactly — the same machinery
-  // pre-aggregation uses).  The single-chunk path is the sequential
-  // operator, bit for bit.
-  auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
-                           static_cast<int64_t>(input.size()),
-                           /*min_grain=*/4096);
-  GroupTable table;
-  if (ranges.size() <= 1) {
-    AccumulateGroups(plan, input, 0, static_cast<int64_t>(input.size()),
-                     table);
-  } else {
-    std::vector<GroupTable> tables(ranges.size());
-    std::vector<ExecStats> chunk_stats(ranges.size());
-    RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      AccumulateGroups(plan, input, b, e, tables[c]);
-      chunk_stats[c].parallel_tasks = 1;
-    });
-    table = std::move(tables[0]);
-    std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-    gid_of.reserve(table.keys.size());
-    for (size_t g = 0; g < table.keys.size(); ++g) {
-      gid_of.emplace(table.keys[g], g);
-    }
-    for (size_t c = 1; c < tables.size(); ++c) {
-      GroupTable& src = tables[c];
-      for (size_t g = 0; g < src.keys.size(); ++g) {
-        auto [it, inserted] = gid_of.try_emplace(std::move(src.keys[g]),
-                                                 table.groups.size());
-        if (inserted) {
-          table.keys.push_back(it->first);
-          table.groups.push_back(std::move(src.groups[g]));
-          continue;
-        }
-        GroupState& dst = table.groups[it->second];
-        dst.star_count += src.groups[g].star_count;
-        // Both sides sized their states on group creation, so this is
-        // a straight element-wise merge (empty only when aggs is empty).
-        for (size_t i = 0; i < dst.states.size(); ++i) {
-          dst.states[i].Merge(src.groups[g].states[i]);
-        }
-      }
-    }
-    if (ctx.stats != nullptr) {
-      for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
-    }
-  }
-  if (plan.exprs.empty() && table.groups.empty()) {
-    table.keys.emplace_back();
-    table.groups.emplace_back();
-    table.groups.back().states.resize(plan.aggs.size());
+  if (plan.exprs.empty() && groups.empty()) {
+    keys.emplace_back();
+    groups.emplace_back();
+    groups.back().states.resize(num_aggs);
   }
   Relation out(plan.schema);
-  out.Reserve(table.groups.size());
-  for (size_t g = 0; g < table.groups.size(); ++g) {
-    Row row = std::move(table.keys[g]);
-    for (size_t i = 0; i < plan.aggs.size(); ++i) {
-      row.push_back(
-          table.groups[g].states[i].Finalize(plan.aggs[i].func,
-                                             table.groups[g].star_count));
+  out.Reserve(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    Row row = std::move(keys[g]);
+    for (size_t i = 0; i < num_aggs; ++i) {
+      row.push_back(groups[g].states[i].Finalize(plan.aggs[i].func,
+                                                 groups[g].star_count));
     }
     out.AddRow(std::move(row));
   }
@@ -654,7 +503,7 @@ class ExecutionContext {
         return Own(ExecAntiJoin(*plan, Materialize(std::move(l)), *r));
       }
       case PlanKind::kAggregate:
-        return Own(ExecAggregate(*plan, *ExecuteNode(plan->left), Ctx()));
+        return Own(ExecAggregate(*plan, *ExecuteNode(plan->left)));
       case PlanKind::kDistinct:
         return Own(ExecDistinct(*plan, Materialize(ExecuteNode(plan->left))));
       case PlanKind::kSort:

@@ -53,6 +53,17 @@ PublishedTable PrepareTable(Relation relation, int begin_col, int end_col) {
   return PublishedTable{std::move(shared), std::move(stats)};
 }
 
+/// The Status an exception escaping planning or execution becomes at
+/// the no-throw boundary: a tripped SplitBudgetScope is
+/// ResourceExhausted (the benches' timeout cell); every other failure
+/// is Internal.
+Status BoundaryStatus(const std::exception& error) {
+  if (dynamic_cast<const SplitBudgetExceeded*>(&error) != nullptr) {
+    return Status::ResourceExhausted(error.what());
+  }
+  return Status::Internal(error.what());
+}
+
 }  // namespace
 
 std::string PlanCacheStats::ToString() const {
@@ -603,7 +614,7 @@ Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
     }
     return plan;
   } catch (const EngineError& error) {
-    return Status::Internal(error.what());
+    return BoundaryStatus(error);
   }
 }
 
@@ -680,7 +691,7 @@ Result<PlanPtr> TemporalDB::Plan(const std::string& sql,
   } catch (const std::exception& error) {
     // Planning reports every failure as a Status; this is the backstop
     // that keeps the no-throw middleware boundary airtight.
-    return Status::Internal(error.what());
+    return BoundaryStatus(error);
   }
 }
 
@@ -743,7 +754,7 @@ Result<std::string> TemporalDB::ExplainAnalyze(const std::string& sql) const {
   } catch (const std::exception& error) {
     // EngineError plus anything execution-adjacent (e.g. std::thread
     // failing to spawn pool workers): the boundary never throws.
-    return Status::Internal(error.what());
+    return BoundaryStatus(error);
   }
 }
 
@@ -769,7 +780,7 @@ Result<Relation> TemporalDB::Query(const std::string& sql,
   } catch (const std::exception& error) {
     // EngineError plus anything execution-adjacent (e.g. std::thread
     // failing to spawn pool workers): the boundary never throws.
-    return Status::Internal(error.what());
+    return BoundaryStatus(error);
   }
 }
 
@@ -810,7 +821,7 @@ Result<Relation> TemporalDB::Timeslice(const std::string& table,
         Execute(MakeProjectColumns(MakeConstant(stored), order), snap.catalog);
     return TimesliceEncoded(normalized, t);
   } catch (const std::exception& error) {
-    return Status::Internal(error.what());
+    return BoundaryStatus(error);
   }
 }
 

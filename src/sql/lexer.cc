@@ -1,6 +1,10 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 
 #include "common/str_util.h"
 
@@ -54,12 +58,26 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
       std::string text = sql.substr(start, i - start);
+      // Literals that do not fit their type are parse errors, never
+      // exceptions.  A float literal too small for a double rounds (to
+      // a subnormal or zero); only overflow to infinity is rejected.
       if (is_float) {
         token.type = TokenType::kFloat;
-        token.float_value = std::stod(text);
+        errno = 0;
+        token.float_value = std::strtod(text.c_str(), nullptr);
+        if (errno == ERANGE && std::isinf(token.float_value)) {
+          return Status::ParseError(StrCat("float literal ", text,
+                                           " out of range at offset ", start));
+        }
       } else {
         token.type = TokenType::kInt;
-        token.int_value = std::stoll(text);
+        const char* text_end = text.data() + text.size();
+        auto [parsed_end, ec] =
+            std::from_chars(text.data(), text_end, token.int_value);
+        if (ec != std::errc() || parsed_end != text_end) {
+          return Status::ParseError(StrCat("integer literal ", text,
+                                           " out of range at offset ", start));
+        }
       }
       token.text = std::move(text);
       tokens.push_back(std::move(token));

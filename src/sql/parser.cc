@@ -70,6 +70,33 @@ class Parser {
     size_t offset;
   };
 
+  // Adds nesting levels for the lifetime of a recursive production (one
+  // on construction, one more per Deepen() -- each operator of a
+  // left-deep chain deepens the tree by one) and rejects input nested
+  // deeper than kMaxNestingDepth.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser* parser, int levels = 1) : parser_(parser) {
+      for (int i = 0; i < levels; ++i) Deepen();
+    }
+    ~NestingGuard() { parser_->depth_ -= levels_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+    void Deepen() {
+      ++levels_;
+      if (++parser_->depth_ > kMaxNestingDepth) {
+        throw ParseFailure(StrCat("nesting deeper than ", kMaxNestingDepth,
+                                  " levels"),
+                           parser_->Peek().offset);
+      }
+    }
+
+   private:
+    Parser* parser_;
+    int levels_ = 0;
+  };
+
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -128,10 +155,12 @@ class Parser {
   // --- Query structure. ----------------------------------------------------
 
   std::shared_ptr<SqlQuery> ParseQuery() {
+    NestingGuard nesting(this);
     auto query = std::make_shared<SqlQuery>();
     query->kind = SqlQuery::Kind::kSelect;
     query->select = ParseSelect();
     while (PeekKeyword("union") || PeekKeyword("except")) {
+      nesting.Deepen();
       bool is_union = MatchKeyword("union");
       if (!is_union) ExpectKeyword("except");
       ExpectKeyword("all");  // only ALL (bag) variants are supported
@@ -257,22 +286,36 @@ class Parser {
 
   // --- Expressions (precedence climbing). -----------------------------------
 
-  SqlExprPtr ParseExpr() { return ParseOr(); }
+  SqlExprPtr ParseExpr() {
+    NestingGuard nesting(this);
+    return ParseOr();
+  }
 
   SqlExprPtr ParseOr() {
+    NestingGuard chain(this, 0);
     SqlExprPtr e = ParseAnd();
-    while (MatchKeyword("or")) e = MakeBinary("or", e, ParseAnd());
+    while (MatchKeyword("or")) {
+      chain.Deepen();
+      e = MakeBinary("or", e, ParseAnd());
+    }
     return e;
   }
 
   SqlExprPtr ParseAnd() {
+    NestingGuard chain(this, 0);
     SqlExprPtr e = ParseNot();
-    while (MatchKeyword("and")) e = MakeBinary("and", e, ParseNot());
+    while (MatchKeyword("and")) {
+      chain.Deepen();
+      e = MakeBinary("and", e, ParseNot());
+    }
     return e;
   }
 
   SqlExprPtr ParseNot() {
-    if (MatchKeyword("not")) return MakeUnary("not", ParseNot());
+    if (MatchKeyword("not")) {
+      NestingGuard nesting(this);
+      return MakeUnary("not", ParseNot());
+    }
     return ParsePredicate();
   }
 
@@ -335,8 +378,10 @@ class Parser {
   }
 
   SqlExprPtr ParseAdditive() {
+    NestingGuard chain(this, 0);
     SqlExprPtr e = ParseMultiplicative();
     while (PeekSymbol("+") || PeekSymbol("-")) {
+      chain.Deepen();
       std::string op = Advance().text;
       e = MakeBinary(op, e, ParseMultiplicative());
     }
@@ -344,8 +389,10 @@ class Parser {
   }
 
   SqlExprPtr ParseMultiplicative() {
+    NestingGuard chain(this, 0);
     SqlExprPtr e = ParseUnary();
     while (PeekSymbol("*") || PeekSymbol("/") || PeekSymbol("%")) {
+      chain.Deepen();
       std::string op = Advance().text;
       e = MakeBinary(op, e, ParseUnary());
     }
@@ -353,7 +400,10 @@ class Parser {
   }
 
   SqlExprPtr ParseUnary() {
-    if (MatchSymbol("-")) return MakeUnary("-", ParseUnary());
+    if (MatchSymbol("-")) {
+      NestingGuard nesting(this);
+      return MakeUnary("-", ParseUnary());
+    }
     return ParsePrimary();
   }
 
@@ -436,6 +486,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

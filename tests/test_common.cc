@@ -23,6 +23,9 @@ TEST(StatusTest, OkAndErrors) {
   EXPECT_EQ(Status::InvalidArgument("x").code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Status::AlreadyExists("x").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Status::ResourceExhausted("x").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(Status::ResourceExhausted("x").ToString(), "ResourceExhausted: x");
 }
 
 TEST(ResultTest, ValueAndStatusPaths) {

@@ -97,6 +97,8 @@ TEST(EdgeCaseTest, SplitBudgetScopeEnforcesLimit) {
   {
     SplitBudgetScope budget(5);
     EXPECT_THROW(SplitRelation(left, right, {0}), SplitBudgetExceeded);
+    // A tripped budget stays exhausted for the rest of the scope.
+    EXPECT_THROW(SplitRelation(left, right, {0}), SplitBudgetExceeded);
   }
   // Outside the scope the same split succeeds.
   EXPECT_EQ(SplitRelation(left, right, {0}).size(), 20u);

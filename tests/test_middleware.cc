@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/naive.h"
+#include "engine/temporal_ops.h"
 #include "tests/running_example.h"
 
 namespace periodk {
@@ -447,6 +448,27 @@ TEST(MiddlewareTest, QueryWithThreadCountMatchesSequential) {
   // num_threads is not part of the plan identity: the second query hit
   // the plan cached by the first.
   EXPECT_GE(db.plan_cache_stats().hits, 1);
+}
+
+// A tripped SplitBudgetScope is the benches' timeout cell: it must
+// reach callers as its own status code, not as an Internal error.  The
+// snapshot bag difference splits both inputs into aligned fragments.
+TEST(MiddlewareTest, SplitBudgetExhaustionIsResourceExhausted) {
+  TemporalDB db = MakeExampleDB();
+  const std::string sql =
+      "SEQ VT (SELECT skill FROM works EXCEPT ALL SELECT skill FROM assign)";
+  {
+    SplitBudgetScope budget(10);
+    auto result = db.Query(sql);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status().ToString();
+    auto explained = db.ExplainAnalyze(sql);
+    ASSERT_FALSE(explained.ok());
+    EXPECT_EQ(explained.status().code(), StatusCode::kResourceExhausted);
+  }
+  // Outside the scope the same statement runs.
+  EXPECT_TRUE(db.Query(sql).ok());
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests for the SQL lexer and parser.
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "middleware/temporal_db.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 
@@ -130,6 +133,61 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(Parse("SEQ VT SELECT a FROM t").ok());  // missing parens
   EXPECT_FALSE(Parse("SELECT a FROM t UNION SELECT a FROM s").ok());  // no ALL
   EXPECT_FALSE(Parse("SELECT CASE END FROM t").ok());
+}
+
+// A one-row table `t(a)` behind the public entry point, so the tests
+// below prove that malformed text never escapes TemporalDB::Query as an
+// exception or a crash.
+TemporalDB OneRowDB() {
+  TemporalDB db(TimeDomain{0, 24});
+  EXPECT_TRUE(db.CreateTable("t", {"a"}).ok());
+  EXPECT_TRUE(db.Insert("t", {Value::Int(1)}).ok());
+  return db;
+}
+
+TEST(LexerTest, OutOfRangeNumericLiteralsAreParseErrors) {
+  TemporalDB db = OneRowDB();
+  auto big_int = db.Query("SELECT a FROM t WHERE a = 99999999999999999999999");
+  ASSERT_FALSE(big_int.ok());
+  EXPECT_EQ(big_int.status().code(), StatusCode::kParseError);
+  auto big_float =
+      db.Query("SELECT a FROM t WHERE a = " + std::string(400, '9') + ".5");
+  ASSERT_FALSE(big_float.ok());
+  EXPECT_EQ(big_float.status().code(), StatusCode::kParseError);
+  // The extremes that do fit are still literals.
+  EXPECT_TRUE(db.Query("SELECT a FROM t WHERE a = 9223372036854775807").ok());
+  auto tiny = Tokenize("0." + std::string(400, '0') + "1");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ((*tiny)[0].type, TokenType::kFloat);
+  EXPECT_GE((*tiny)[0].float_value, 0.0);
+}
+
+std::string Nested(int levels) {
+  return "SELECT " + std::string(static_cast<size_t>(levels), '(') + "a" +
+         std::string(static_cast<size_t>(levels), ')') + " FROM t";
+}
+
+TEST(ParserTest, NestingDepthIsBounded) {
+  TemporalDB db = OneRowDB();
+  auto shallow = db.Query(Nested(100));
+  ASSERT_TRUE(shallow.ok()) << shallow.status().ToString();
+  EXPECT_EQ(shallow->size(), 1u);
+  auto deep = db.Query(Nested(20000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+  // Left-deep operator chains and unary chains deepen the tree the same
+  // way and hit the same limit.
+  std::string chain = "a";
+  std::string nots;
+  for (int i = 0; i < 20000; ++i) {
+    chain += " + 1";
+    nots += "NOT ";
+  }
+  EXPECT_EQ(db.Query("SELECT " + chain + " FROM t").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(db.Query("SELECT a FROM t WHERE " + nots + "a = 1").status().code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(Parse(Nested(kMaxNestingDepth - 8)).ok());
 }
 
 }  // namespace
